@@ -156,7 +156,8 @@ std::vector<index::QueryResult> Engine::TopKBatch(
   // historical two regimes: with at least one query per worker, queries
   // are the unit of concurrency; otherwise each query fans its inner
   // loops across all threads), then hand the batch to the executor, which
-  // groups plans by (instance, τ) and builds each T̂C once. Every stage is
+  // groups plans by instance and builds each group's T̂C once, at its
+  // largest τ; every plan solves on its prefix cut. Every stage is
   // deterministic, so the answers are identical in both regimes and to
   // sequential TopK calls.
   exec::ExecContext* ctx = query_->exec_context();

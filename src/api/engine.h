@@ -201,10 +201,12 @@ class Engine {
   /// through TopK sequentially. This is the serving entry point: one built
   /// index, many concurrent (k, τ, ψ) requests.
   ///
-  /// Specs are planned through the exec layer and grouped by
-  /// (instance, τ): each distinct approximate cover T̂C is built once and
-  /// shared by every query of its group (identical results — the cover
-  /// does not depend on k, ψ, FM, or ES; see docs/query_planning.md).
+  /// Specs are planned through the exec layer and grouped by instance:
+  /// each group's approximate cover T̂C is built once, at the group's
+  /// largest τ, and every query of the group solves on its prefix cut at
+  /// its own τ (identical results — the cut is byte-equal to a build at
+  /// that τ, and the cover does not depend on k, ψ, FM, or ES; see
+  /// docs/query_planning.md).
   /// Sharers report amortized cover_build_seconds/transient_bytes and
   /// cover_shared = true.
   std::vector<index::QueryResult> TopKBatch(

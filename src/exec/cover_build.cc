@@ -1,5 +1,7 @@
 #include "exec/cover_build.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "netclus/cluster_index.h"
@@ -103,6 +105,21 @@ BuiltCover BuildCover(const index::MultiIndex& index,
   out.bytes =
       out.approx.MemoryBytes() + out.rep_sites.size() * sizeof(SiteId);
   return out;
+}
+
+double SharedCoverTau(const index::MultiIndex& index, size_t instance,
+                      double tau_m) {
+  if (std::isinf(tau_m) && tau_m > 0.0) return tau_m;  // no finite edge
+  const double growth = 1.0 + index.gamma();
+  double j = static_cast<double>(instance + 1);
+  if (tau_m > index.tau_min_m()) {
+    j = std::max(j, std::ceil(std::log(tau_m / index.tau_min_m()) /
+                              std::log1p(index.gamma())));
+  }
+  double edge = index.tau_min_m() * std::pow(growth, j);
+  // The log estimate can land one boundary low under rounding.
+  while (edge < tau_m) edge = index.tau_min_m() * std::pow(growth, ++j);
+  return edge;
 }
 
 }  // namespace netclus::exec

@@ -1,5 +1,6 @@
 #include "exec/executor.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -47,26 +48,35 @@ void Executor::ValidatePlan(const QueryPlan& plan) const {
 
 CoverPtr Executor::ObtainCover(const QueryPlan& plan, uint32_t build_threads,
                                bool* reused) const {
-  const auto build = [&]() -> CoverPtr {
+  return AcquireCover(plan.instance, plan.tau_m, build_threads, reused);
+}
+
+CoverPtr Executor::AcquireCover(size_t instance, double tau_m,
+                                uint32_t build_threads, bool* reused) const {
+  const auto build = [&](double build_tau) -> CoverPtr {
     auto cover = std::make_shared<BuiltCover>(
-        BuildCover(*index_, *store_, plan.tau_m, plan.instance, build_threads));
-    ctx_->stats.RecordCoverBuild(plan.instance, cover->build_seconds,
+        BuildCover(*index_, *store_, build_tau, instance, build_threads));
+    ctx_->stats.RecordCoverBuild(instance, cover->build_seconds,
                                  cover->bytes);
     return cover;
   };
   if (hooks_.acquire) {
-    CoverPtr cover = hooks_.acquire(plan.cover_key(), build, reused);
+    CoverPtr cover = hooks_.acquire(
+        CoverKey{instance}, tau_m,
+        [&] { return build(SharedCoverTau(*index_, instance, tau_m)); },
+        reused);
     if (*reused) ctx_->stats.RecordCoverShared();
     return cover;
   }
   *reused = false;
-  return build();
+  return build(tau_m);
 }
 
 tops::Selection Executor::SolveStage(const QueryPlan& plan,
                                      const BuiltCover& cover,
                                      double* stage_seconds) const {
   util::WallTimer timer;
+  const tops::CoverageIndex approx = cover.Cut(plan.tau_m);
 
   // Map existing services to their clusters' representatives, preserving
   // the plan's (caller's) order — Inc-Greedy folds ES in input order.
@@ -96,7 +106,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
         tops::FmGreedyConfig fm_config;
         fm_config.k = plan.k;
         fm_config.num_sketches = plan.fm_copies;
-        clustered = FmGreedy(cover.approx, fm_config).selection;
+        clustered = FmGreedy(approx, fm_config).selection;
       } else {
         if (plan.use_fm && plan.psi.is_binary()) {
           ctx_->stats.RecordFmFallback();
@@ -114,7 +124,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
         greedy_config.k = plan.k;
         greedy_config.existing_services = existing_reps;
         greedy_config.threads = plan.threads;
-        clustered = IncGreedy(cover.approx, plan.psi, greedy_config);
+        clustered = IncGreedy(approx, plan.psi, greedy_config);
       }
       break;
     }
@@ -125,7 +135,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
       for (SiteId site : cover.rep_sites) {
         cost_config.site_costs.push_back(plan.site_costs[site]);
       }
-      clustered = CostGreedy(cover.approx, plan.psi, cost_config).selection;
+      clustered = CostGreedy(approx, plan.psi, cost_config).selection;
       break;
     }
     case QueryVariant::kTopsCapacity: {
@@ -136,7 +146,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
         capacity_config.site_capacities.push_back(plan.site_capacities[site]);
       }
       clustered =
-          CapacityGreedy(cover.approx, plan.psi, capacity_config).selection;
+          CapacityGreedy(approx, plan.psi, capacity_config).selection;
       break;
     }
   }
@@ -200,25 +210,29 @@ std::vector<index::QueryResult> Executor::ExecuteBatch(
   for (const QueryPlan& plan : plans) ValidatePlan(plan);
 
   // Group plans by cover identity (first-appearance order, so the layout
-  // is deterministic regardless of thread count).
+  // is deterministic regardless of thread count); each group's cover must
+  // answer its largest τ.
   std::unordered_map<CoverKey, size_t, CoverKeyHash> group_of;
   std::vector<size_t> plan_group(plans.size());
   std::vector<size_t> group_leader;  // first plan index of each group
   std::vector<size_t> group_size;
+  std::vector<double> group_tau;
   for (size_t i = 0; i < plans.size(); ++i) {
     const auto [it, inserted] =
         group_of.try_emplace(plans[i].cover_key(), group_leader.size());
     if (inserted) {
       group_leader.push_back(i);
       group_size.push_back(0);
+      group_tau.push_back(plans[i].tau_m);
     }
     plan_group[i] = it->second;
     ++group_size[it->second];
+    group_tau[it->second] = std::max(group_tau[it->second], plans[i].tau_m);
   }
 
-  // Stage 1 — CoverBuild, once per distinct (instance, τ). Same
-  // two-regime rule as the solve fan-out: with at least one group per
-  // worker the groups are the unit of concurrency.
+  // Stage 1 — CoverBuild, once per instance. Same two-regime rule as the
+  // solve fan-out: with at least one group per worker the groups are the
+  // unit of concurrency.
   const unsigned resolved = util::ResolveThreads(threads);
   const uint32_t per_build_threads =
       group_leader.size() >= resolved ? 1 : threads;
@@ -226,7 +240,8 @@ std::vector<index::QueryResult> Executor::ExecuteBatch(
   std::vector<uint8_t> group_reused(group_leader.size(), 0);
   const auto build_group = [&](size_t g) {
     bool reused = false;
-    covers[g] = ObtainCover(plans[group_leader[g]], per_build_threads, &reused);
+    covers[g] = AcquireCover(plans[group_leader[g]].instance, group_tau[g],
+                             per_build_threads, &reused);
     group_reused[g] = reused ? 1 : 0;
   };
   if (per_build_threads == 1) {

@@ -1,22 +1,27 @@
 // The Executor: staged execution of QueryPlans.
 //
 //   CoverBuild  — build (or reuse) the approximate trajectory cover T̂C
-//                 for the plan's (instance, τ); shareable across plans
-//                 because it does not depend on k, ψ, FM, or ES;
-//   Solve       — map existing services into clustered space and run the
+//                 for the plan's instance, at a τ no smaller than the
+//                 plan's; shareable across plans because it does not
+//                 depend on k, ψ, FM, ES — or, thanks to the prefix cut,
+//                 on the exact τ (exec/cover_build.h);
+//   Solve       — cut the cover at the plan's τ (a zero-copy view), map
+//                 existing services into clustered space and run the
 //                 plan's solver (Inc-Greedy / FM-greedy / cost /
-//                 capacity) on the shared cover;
+//                 capacity) on the cut;
 //   Assemble    — map the clustered-space selection back to real SiteIds
 //                 and attribute timings/bytes.
 //
-// Sharing semantics: ExecuteBatch groups plans by CoverKey and builds
-// each distinct cover exactly once; an external cover source (the serving
-// layer's snapshot-versioned CoverCache) plugs in through CoverHooks so
-// concurrent traffic reuses covers across calls. Every stage is
-// deterministic at every thread count and a cover depends only on its
-// key, so results are bit-identical to per-query execution — the
-// differential suite in tests/test_exec.cc pins this against a replica
-// of the pre-refactor pipeline.
+// Sharing semantics: ExecuteBatch groups plans by CoverKey (the instance)
+// and builds each group's cover exactly once, at the group's largest τ;
+// an external cover source (the serving layer's snapshot-versioned
+// CoverCache) plugs in through CoverHooks so concurrent traffic reuses
+// covers across calls. Without hooks a single plan builds at its own τ,
+// so the cut is the whole cover. Every stage is deterministic at every
+// thread count and a cut is byte-equal to a build at its τ, so results
+// are bit-identical to per-query execution — the differential suite in
+// tests/test_exec.cc pins this against a replica of the pre-refactor
+// pipeline.
 //
 // Cost attribution when a cover is shared: each of the g sharers reports
 // cover_build_seconds = build/g and transient_bytes = bytes/g with
@@ -44,12 +49,13 @@ namespace netclus::exec {
 using CoverPtr = std::shared_ptr<const BuiltCover>;
 
 /// External cover source (e.g. serve::CoverCache). `acquire` must return
-/// a cover equivalent to calling `build` (same key → bit-identical cover,
-/// guaranteed by BuildCover's determinism), calling `build` at most once;
-/// it sets *reused to true when the returned cover was not built by this
-/// call. No hooks = build per call.
+/// a cover of `key`'s instance that answers `tau_m` (BuiltCover::Answers),
+/// calling `build` at most once; `build` builds the instance's shared
+/// cover (SharedCoverTau) for `tau_m`. It sets *reused to true when the
+/// returned cover was not built by this call. No hooks = build per call,
+/// at the plan's own τ.
 struct CoverHooks {
-  std::function<CoverPtr(const CoverKey& key,
+  std::function<CoverPtr(const CoverKey& key, double tau_m,
                          const std::function<CoverPtr()>& build,
                          bool* reused)>
       acquire;
@@ -72,30 +78,36 @@ class Executor {
   /// as kInvalidSpec instead of a worker-thread exception.
   void ValidatePlan(const QueryPlan& plan) const;
 
-  /// Stage 1 alone: builds (or acquires through the hooks) the plan's
-  /// cover. `*reused` is set when the cover was not built by this call.
-  /// Lets the async serving layer run CoverBuild as its own scheduler
-  /// task, separately from ExecuteOnCover.
+  /// Stage 1 alone: builds (or acquires through the hooks) a cover of
+  /// the plan's instance that answers the plan's τ. `*reused` is set
+  /// when the cover was not built by this call. Lets the async serving
+  /// layer run CoverBuild as its own scheduler task, separately from
+  /// ExecuteOnCover.
   CoverPtr ObtainCover(const QueryPlan& plan, uint32_t build_threads,
                        bool* reused) const;
 
-  /// Stages 2+3 on an already-obtained cover (which must match the plan's
-  /// cover key). `cover_reused` selects Execute()'s cost attribution:
+  /// Stages 2+3 on an already-obtained cover of the plan's instance,
+  /// built at any τ ≥ plan.tau_m: the solve runs on its cut at
+  /// plan.tau_m. `cover_reused` selects Execute()'s cost attribution:
   /// reused covers report zero build cost. Execute(plan) is exactly
   /// ObtainCover + ExecuteOnCover; results are bit-identical.
   index::QueryResult ExecuteOnCover(const QueryPlan& plan,
                                     const CoverPtr& cover,
                                     bool cover_reused) const;
 
-  /// Executes a batch: plans are grouped by CoverKey, each distinct cover
-  /// is built once (the groups build concurrently under `threads`, the
-  /// same two-regime rule as the solve fan-out), then every plan solves
-  /// on its group's cover. Results are in input order and — selection by
-  /// selection — identical to calling Execute on each plan.
+  /// Executes a batch: plans are grouped by CoverKey (instance), each
+  /// group's cover is built once at the group's largest τ (the groups
+  /// build concurrently under `threads`, the same two-regime rule as the
+  /// solve fan-out), then every plan solves on its cut of the group's
+  /// cover. Results are in input order and — selection by selection —
+  /// identical to calling Execute on each plan.
   std::vector<index::QueryResult> ExecuteBatch(std::span<const QueryPlan> plans,
                                                uint32_t threads) const;
 
  private:
+  /// Stage 1 for an instance and the largest τ it must answer.
+  CoverPtr AcquireCover(size_t instance, double tau_m, uint32_t build_threads,
+                        bool* reused) const;
   tops::Selection SolveStage(const QueryPlan& plan, const BuiltCover& cover,
                              double* stage_seconds) const;
   index::QueryResult Assemble(const QueryPlan& plan, const BuiltCover& cover,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -50,8 +52,7 @@ const char* SolverName(SolverKind solver) {
 }
 
 size_t CoverKeyHash::operator()(const CoverKey& key) const {
-  return static_cast<size_t>(
-      Combine(util::SplitMix64(key.instance), key.tau_bits));
+  return static_cast<size_t>(util::SplitMix64(key.instance));
 }
 
 uint64_t PlanKey::Fingerprint() const {
@@ -79,12 +80,16 @@ tops::PreferenceFunction NormalizePsi(const tops::PreferenceFunction& psi) {
   return psi;
 }
 
+double CanonicalTau(double tau_m) {
+  return std::isnan(tau_m) ? std::numeric_limits<double>::infinity() : tau_m;
+}
+
 PlanKey CanonicalPlanKey(const PlanRequest& request, size_t instance) {
   const tops::PreferenceFunction psi = NormalizePsi(request.psi);
   PlanKey key;
   key.variant = static_cast<uint8_t>(request.variant);
   key.k = request.k;
-  key.tau_bits = CanonicalDoubleBits(request.tau_m);
+  key.tau_bits = CanonicalDoubleBits(CanonicalTau(request.tau_m));
   key.use_fm = request.use_fm;
   key.fm_copies = request.use_fm ? request.fm_copies : 0;
   key.psi_kind = static_cast<uint8_t>(psi.kind());

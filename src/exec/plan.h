@@ -5,8 +5,9 @@
 // QueryPlan: the resolved resolution instance p = ⌊log_{1+γ}(τ/τ_min)⌋,
 // the solver the executor will run, the per-plan thread budget, and a
 // stable PlanKey fingerprint (sorted/deduped existing services, normalized
-// ψ, the instance) that the serving layer's result cache keys on and that
-// the executor's cover-sharing stage groups by.
+// ψ, the instance) that the serving layer's result cache keys on. The
+// executor's cover-sharing stage groups plans by instance alone (CoverKey):
+// one cover per instance answers every τ of its range by a prefix cut.
 //
 // Canonicalization never changes what is executed: the plan keeps the
 // caller's existing-services order for execution (Inc-Greedy folds ES in
@@ -18,7 +19,6 @@
 #ifndef NETCLUS_EXEC_PLAN_H_
 #define NETCLUS_EXEC_PLAN_H_
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -69,21 +69,14 @@ struct PlanRequest {
   uint32_t threads = 0;
 };
 
-/// Identity of the cover-build stage: two plans with equal CoverKeys build
-/// the exact same approximate trajectory cover T̂C (it depends only on the
-/// instance, τ, and the corpus), so the executor builds it once and shares
-/// it. τ is carried by bit pattern (-0.0 normalized to 0.0) so hashing and
-/// equality agree with the result-cache convention.
+/// Identity of the cover-build stage: the resolution instance alone. A
+/// cover built for instance p at τ' answers every τ ≤ τ' of that instance
+/// by a prefix cut (see exec/cover_build.h), so two plans on the same
+/// instance share one build whatever their τ, k, ψ, or ES.
 struct CoverKey {
   uint64_t instance = 0;
-  uint64_t tau_bits = 0;
 
   bool operator==(const CoverKey&) const = default;
-
-  /// τ in meters, recovered from the bit pattern. The serving layer's
-  /// delta-aware carryover reads (instance, τ) off cached keys to decide
-  /// whether a publish touched the partition a cover belongs to.
-  double tau_m() const { return std::bit_cast<double>(tau_bits); }
 };
 
 struct CoverKeyHash {
@@ -117,12 +110,9 @@ struct PlanKey {
   /// 64-bit stable hash over every field (SplitMix64 chain).
   uint64_t Fingerprint() const;
 
-  /// τ in meters, recovered from the bit pattern (see CoverKey::tau_m).
-  double tau_m() const { return std::bit_cast<double>(tau_bits); }
-
-  /// The cover-build identity this plan resolves to — the (instance, τ)
+  /// The cover-build identity this plan resolves to — the instance
   /// partition delta-aware carryover reasons about.
-  CoverKey cover_key() const { return CoverKey{instance, tau_bits}; }
+  CoverKey cover_key() const { return CoverKey{instance}; }
 };
 
 /// The canonical executable plan. Produced by the Planner; consumed by the
@@ -167,7 +157,7 @@ struct QueryPlan {
   /// Canonical fingerprint (see PlanKey).
   PlanKey key;
 
-  CoverKey cover_key() const { return CoverKey{instance, key.tau_bits}; }
+  CoverKey cover_key() const { return CoverKey{instance}; }
 };
 
 /// Rewrites ψ into a canonical equivalent whose Score() is bit-exact equal
@@ -176,6 +166,12 @@ struct QueryPlan {
 ///  * a -0.0 parameter → 0.0 (Score never distinguishes them).
 /// Anything else is returned unchanged. test_exec pins the bit-exactness.
 tops::PreferenceFunction NormalizePsi(const tops::PreferenceFunction& psi);
+
+/// A NaN τ reads as unbounded (+inf): the cover build never rejects an
+/// estimate against NaN, so this is the cover it always produced, now
+/// with a τ a cover can be compared and cut against. Any other τ is
+/// returned unchanged.
+double CanonicalTau(double tau_m);
 
 /// Builds the canonical PlanKey for a request resolved to `instance`.
 PlanKey CanonicalPlanKey(const PlanRequest& request, size_t instance);

@@ -28,7 +28,7 @@ QueryPlan Planner::Plan(const PlanRequest& request,
   QueryPlan plan;
   plan.variant = request.variant;
   plan.k = request.k;
-  plan.tau_m = request.tau_m;
+  plan.tau_m = CanonicalTau(request.tau_m);
   plan.psi = NormalizePsi(request.psi);
   plan.use_fm = request.use_fm;
   plan.fm_copies = request.fm_copies;

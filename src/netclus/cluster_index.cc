@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/dijkstra.h"
+#include "store/buffer_pool.h"
 #include "util/float_bits.h"
 #include "util/logging.h"
 #include "util/memory.h"
@@ -211,13 +212,20 @@ void ClusterIndex::ElectRepresentative(const traj::TrajectoryStore& store,
   }
 }
 
+void TlList::TouchPool() const {
+  pool_->Touch(frozen_.packed_begin(),
+               static_cast<size_t>(frozen_.packed_end() -
+                                   frozen_.packed_begin()));
+}
+
 void ClusterIndex::FreezePostings(const std::vector<std::vector<TlEntry>>& tls,
                                   const std::vector<std::vector<uint32_t>>& seqs) {
   store::PostingArenaBuilder tl_builder;
   for (const auto& list : tls) tl_builder.AddPairList(list);
   tl_arena_ = tl_builder.Finish();
   for (uint32_t g = 0; g < clusters_.size(); ++g) {
-    clusters_[g].tl.Freeze(tl_arena_.PairList<TlEntry>(g));
+    clusters_[g].tl.Freeze(tl_arena_.PairList<TlEntry>(g),
+                           tl_arena_.pool());
   }
   store::PostingArenaBuilder cc_builder;
   for (const auto& seq : seqs) cc_builder.AddU32List(seq);

@@ -142,6 +142,7 @@ class TlList {
   };
 
   const_iterator begin() const {
+    TouchFrozen();
     const_iterator it;
     it.remaining_ = size();
     it.fit_ = frozen_.begin();
@@ -158,6 +159,7 @@ class TlList {
   /// path instead of one entry per iterator step.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
+    TouchFrozen();
     if (removed_.empty()) {
       frozen_.ForEach(fn);
     } else {
@@ -184,9 +186,14 @@ class TlList {
     return out;
   }
 
-  /// Installs the frozen core (resets overlays).
-  void Freeze(store::PairListView<TlEntry> frozen) {
+  /// Installs the frozen core (resets overlays). `pool` is the buffer
+  /// pool managing the arena the view decodes from (null when none):
+  /// every traversal of the core touches the core's bytes in it, so a
+  /// page budget bounds residency while queries run, not only at load.
+  void Freeze(store::PairListView<TlEntry> frozen,
+              store::BufferPool* pool = nullptr) {
     frozen_ = frozen;
+    pool_ = pool;
     frozen_live_ = frozen.size();
     extra_.clear();
     removed_.clear();
@@ -204,6 +211,7 @@ class TlList {
       }
     }
     if (std::binary_search(removed_.begin(), removed_.end(), t)) return false;
+    TouchFrozen();
     for (const TlEntry& e : frozen_) {
       if (e.traj == t) {
         removed_.insert(std::upper_bound(removed_.begin(), removed_.end(), t),
@@ -226,7 +234,13 @@ class TlList {
   }
 
  private:
+  void TouchFrozen() const {
+    if (pool_ != nullptr) TouchPool();
+  }
+  void TouchPool() const;  // out of line: buffer_pool.h stays out of here
+
   store::PairListView<TlEntry> frozen_;
+  store::BufferPool* pool_ = nullptr;  ///< owned by the arena's mapping
   size_t frozen_live_ = 0;            ///< frozen entries not tombstoned
   std::vector<TlEntry> extra_;        ///< dynamically added entries
   std::vector<traj::TrajId> removed_; ///< sorted tombstones over frozen_

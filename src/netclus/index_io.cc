@@ -531,7 +531,8 @@ bool ClusterIndex::ReadBinary(store::ByteReader& in, store::ListLayout layout,
                    sites_data.begin() + sites_offsets[g + 1]);
     c.cl.assign(cl_data.begin() + cl_offsets[g],
                 cl_data.begin() + cl_offsets[g + 1]);
-    c.tl.Freeze(index.tl_arena_.PairList<TlEntry>(g));
+    c.tl.Freeze(index.tl_arena_.PairList<TlEntry>(g),
+                index.tl_arena_.pool());
   }
 
   const store::ByteBlock& removed = arrays[kArrSiteRemoved];

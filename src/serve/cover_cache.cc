@@ -59,7 +59,7 @@ void CoverCache::EvictLocked(Shard& shard) {
 }
 
 exec::CoverPtr CoverCache::GetOrBuild(
-    uint64_t version, const exec::CoverKey& cover_key,
+    uint64_t version, const exec::CoverKey& cover_key, double tau_m,
     const std::function<exec::CoverPtr()>& build, bool* reused) {
   if (!enabled()) {
     *reused = false;
@@ -68,35 +68,52 @@ exec::CoverPtr CoverCache::GetOrBuild(
   const Key key{version, cover_key};
   Shard& shard = ShardFor(key);
   std::promise<exec::CoverPtr> promise;
-  std::shared_future<exec::CoverPtr> future;
-  bool builder = false;
   const uint64_t build_id =
       next_build_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const nc::MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      future = it->second->second.future;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      builder = true;
-      Entry entry;
-      entry.future = promise.get_future().share();
-      entry.build_id = build_id;
-      future = entry.future;
-      shard.lru.emplace_front(key, std::move(entry));
-      shard.map.emplace(key, shard.lru.begin());
-      entries_.fetch_add(1, std::memory_order_relaxed);
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      EvictLocked(shard);
+  for (;;) {
+    std::shared_future<exec::CoverPtr> pending;
+    {
+      const nc::MutexLock lock(shard.mu);
+      auto it = shard.map.find(key);
+      if (it != shard.map.end()) {
+        Entry& entry = it->second->second;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        if (!entry.completed) {
+          pending = entry.future;
+        } else if (entry.future.get()->Answers(tau_m)) {  // ready: completed
+          hits_.fetch_add(1, std::memory_order_relaxed);
+          *reused = true;
+          return entry.future.get();
+        } else {
+          // Too small for tau_m: this call builds the larger cover that
+          // replaces it. Holders of the old cover keep it alive.
+          resident_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+          entry = Entry{};
+          entry.future = promise.get_future().share();
+          entry.build_id = build_id;
+          misses_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+      } else {
+        Entry entry;
+        entry.future = promise.get_future().share();
+        entry.build_id = build_id;
+        shard.lru.emplace_front(key, std::move(entry));
+        shard.map.emplace(key, shard.lru.begin());
+        entries_.fetch_add(1, std::memory_order_relaxed);
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        EvictLocked(shard);
+        break;
+      }
     }
-  }
-  if (!builder) {
-    // Rendezvous on the (possibly in-flight) build; a hit on an entry
-    // still building blocks here instead of duplicating the work.
-    *reused = true;
-    return future.get();
+    // Rendezvous on the in-flight build instead of duplicating the work;
+    // if it is still too small for tau_m, look again (and grow it).
+    exec::CoverPtr cover = pending.get();
+    if (cover->Answers(tau_m)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      *reused = true;
+      return cover;
+    }
   }
   // Build outside the shard lock — other keys stay fully concurrent.
   exec::CoverPtr cover;
@@ -104,9 +121,9 @@ exec::CoverPtr CoverCache::GetOrBuild(
     cover = build();
   } catch (...) {
     // Drop the dead entry so the key is rebuilt next time (a transient
-    // failure must not poison (version, instance, τ) until eviction),
-    // and hand waiters the exception instead of a broken promise. Only
-    // the entry carrying OUR build_id is ours to drop: if this entry was
+    // failure must not poison (version, instance) until eviction), and
+    // hand waiters the exception instead of a broken promise. Only the
+    // entry carrying OUR build_id is ours to drop: if this entry was
     // cleared away and another builder re-inserted the key meanwhile,
     // erasing by key alone would kill that healthy in-flight build.
     {
@@ -143,7 +160,8 @@ exec::CoverPtr CoverCache::GetOrBuild(
 }
 
 exec::CoverPtr CoverCache::TryGet(uint64_t version,
-                                  const exec::CoverKey& cover_key) {
+                                  const exec::CoverKey& cover_key,
+                                  double tau_m) {
   if (!enabled()) return nullptr;
   const Key key{version, cover_key};
   Shard& shard = ShardFor(key);
@@ -154,9 +172,12 @@ exec::CoverPtr CoverCache::TryGet(uint64_t version,
     if (it == shard.map.end()) return nullptr;
     // An in-flight entry would make future.get() block, which this probe
     // must never do.
-    if (!it->second->second.completed) return nullptr;
+    const Entry& entry = it->second->second;
+    if (!entry.completed || !entry.future.get()->Answers(tau_m)) {
+      return nullptr;
+    }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    future = it->second->second.future;
+    future = entry.future;
     hits_.fetch_add(1, std::memory_order_relaxed);
   }
   return future.get();  // ready: completed builds resolve immediately
@@ -164,10 +185,10 @@ exec::CoverPtr CoverCache::TryGet(uint64_t version,
 
 exec::CoverPtr CoverCache::TryGetStale(uint64_t version,
                                        const exec::CoverKey& cover_key,
-                                       uint64_t max_lag,
+                                       double tau_m, uint64_t max_lag,
                                        uint64_t* served_version) {
   for (uint64_t lag = 0; lag <= max_lag && version >= lag + 1; ++lag) {
-    exec::CoverPtr cover = TryGet(version - lag, cover_key);
+    exec::CoverPtr cover = TryGet(version - lag, cover_key, tau_m);
     if (cover != nullptr) {
       if (served_version != nullptr) *served_version = version - lag;
       return cover;

@@ -1,26 +1,30 @@
 // Snapshot-versioned cache of built approximate trajectory covers.
 //
-// A cover (exec::BuiltCover) depends only on (snapshot version, instance,
-// τ) — not on k, ψ, FM, or existing services — so concurrent serving
-// traffic whose specs differ in everything *except* (instance, τ) still
-// reuses one T̂C build. Because the version is part of the key, a snapshot
-// publish implicitly invalidates every cached cover; stale versions age
-// out of the LRU lists. Delta-aware carryover (CarryForward) re-keys
-// covers whose instance a publish provably did not touch — an untouched
-// partition's cover is byte-equal at both versions (see delta.h) — so an
-// update stream no longer resets the cache to cold on every batch.
+// A cover (exec::BuiltCover) is keyed by (snapshot version, instance):
+// covers are τ-nested (exec/cover_build.h), so one cover built at the top
+// of instance p's τ-range answers every τ of the range by a prefix cut,
+// and concurrent serving traffic whose specs differ in anything — τ, k,
+// ψ, FM, or existing services — reuses one T̂C build per instance. A τ the
+// resident cover is too small for (only past the last instance's nominal
+// edge) builds a larger cover that replaces the entry. Because the
+// version is part of the key, a snapshot publish implicitly invalidates
+// every cached cover; stale versions age out of the LRU lists.
+// Delta-aware carryover (CarryForward) re-keys covers whose instance a
+// publish provably did not touch — an untouched partition's cover is
+// byte-equal at both versions (see delta.h) — so an update stream no
+// longer resets the cache to cold on every batch.
 //
 // GetOrBuild has build-once semantics: concurrent callers for the same
 // key rendezvous on one shared build (a std::shared_future per entry), so
-// a thundering herd of identical-τ requests costs a single cover build —
-// the property bench_exec_plans measures. Covers are immutable and
-// refcounted, so an evicted entry stays valid for every query still
-// holding it.
+// a thundering herd on one instance costs a single cover build — the
+// property bench_exec_plans measures. Covers are immutable and
+// refcounted, so an evicted or replaced entry stays valid for every query
+// still holding it.
 //
 // The NETCLUS_COVER_CACHE environment knob (default on) disables the
 // cache at construction time when set to 0 — the CI matrix runs the test
 // suite both ways; results are bit-identical because BuildCover is
-// deterministic.
+// deterministic and a cut is byte-equal to a build at its τ.
 #ifndef NETCLUS_SERVE_COVER_CACHE_H_
 #define NETCLUS_SERVE_COVER_CACHE_H_
 
@@ -46,8 +50,8 @@ class CoverCache {
  public:
   struct Options {
     /// Total resident covers across shards. 0 disables. Covers are large
-    /// (Σ |T̂C| per instance), so the default stays small — distinct
-    /// (instance, τ) pairs in live traffic are few.
+    /// (Σ |T̂C| per instance), so the default stays small — one cover per
+    /// (version, instance) is all live traffic needs.
     size_t capacity = 32;
     size_t shards = 8;
     /// When true (the default), NETCLUS_COVER_CACHE=0 in the environment
@@ -57,7 +61,7 @@ class CoverCache {
 
   struct Stats {
     uint64_t hits = 0;    ///< served an existing (possibly in-flight) build
-    uint64_t misses = 0;  ///< this call built the cover
+    uint64_t misses = 0;  ///< this call built the cover (or grew it)
     uint64_t evictions = 0;
     uint64_t entries = 0;
     uint64_t resident_bytes = 0;  ///< Σ bytes of completed resident covers
@@ -73,28 +77,32 @@ class CoverCache {
   /// degenerates to calling `build` without counting.
   bool enabled() const { return per_shard_capacity_ != 0; }
 
-  /// Returns the cover for (version, key), building it via `build` (at
-  /// most once across all concurrent callers of this key) on a miss.
-  /// *reused is set to true when the returned cover was built by another
-  /// call. Thread-safe.
+  /// Returns the cover for (version, key) that answers `tau_m`, building
+  /// it via `build` (at most once across all concurrent callers of this
+  /// key) on a miss. A resident cover built below `tau_m` is replaced by
+  /// the new build. *reused is set to true when the returned cover was
+  /// built by another call. Thread-safe.
   exec::CoverPtr GetOrBuild(uint64_t version, const exec::CoverKey& key,
+                            double tau_m,
                             const std::function<exec::CoverPtr()>& build,
                             bool* reused);
 
   /// Non-blocking probe: the cover for (version, key) if its build has
-  /// already completed, else null — never waits on an in-flight build and
-  /// never builds. Success counts a hit; failure counts nothing (no build
-  /// happened, so it is not a miss). The async serving path uses this to
-  /// answer without queueing behind a build.
-  exec::CoverPtr TryGet(uint64_t version, const exec::CoverKey& key);
+  /// already completed and it answers `tau_m`, else null — never waits on
+  /// an in-flight build and never builds. Success counts a hit; failure
+  /// counts nothing (no build happened, so it is not a miss). The async
+  /// serving path uses this to answer without queueing behind a build.
+  exec::CoverPtr TryGet(uint64_t version, const exec::CoverKey& key,
+                        double tau_m);
 
   /// TryGet over `version` and up to `max_lag` preceding versions, newest
   /// first; sets *served_version on success. Non-blocking.
   exec::CoverPtr TryGetStale(uint64_t version, const exec::CoverKey& key,
-                             uint64_t max_lag, uint64_t* served_version);
+                             double tau_m, uint64_t max_lag,
+                             uint64_t* served_version);
 
   /// Delta-aware carryover: re-keys every completed entry at
-  /// `old_version` whose (instance, τ) partition the publish left
+  /// `old_version` whose instance partition the publish left
   /// untouched (see delta.h) to `new_version`, so the next snapshot
   /// starts warm instead of rebuilding byte-equal covers. Entries whose
   /// instance is dirty, in-flight builds (their builder resolves the old

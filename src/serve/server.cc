@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <exception>
+#include <functional>
 #include <utility>
 
 #include "exec/executor.h"
@@ -239,7 +240,8 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
     // A cover already built for this version means no heavy stage: solve
     // right here on the fast lane. This is what keeps cache-warm queries
     // from ever waiting behind queued builds.
-    if (exec::CoverPtr cover = cover_cache_.TryGet(version, cover_key)) {
+    if (exec::CoverPtr cover =
+            cover_cache_.TryGet(version, cover_key, state->plan.tau_m)) {
       ctx_->stats.RecordCoverShared();
       state->trace.AddFlags(obs::kFlagCoverShared);
       end_admit_span();
@@ -276,7 +278,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
     }
     uint64_t cover_version = 0;
     if (exec::CoverPtr cover = cover_cache_.TryGetStale(
-            version, cover_key, max_lag, &cover_version)) {
+            version, cover_key, state->plan.tau_m, max_lag, &cover_version)) {
       if (SnapshotPtr old_snap = registry_.AcquireVersion(cover_version)) {
         ctx_->stats.RecordCoverShared();
         state->trace.AddFlags(obs::kFlagCoverShared);
@@ -307,18 +309,9 @@ void NetClusServer::StageBuild(const std::shared_ptr<AsyncState>& state) {
   const uint64_t build_start = obs::TraceNowNs();
   const SnapshotPtr& snap = state->snap;
   try {
-    exec::CoverHooks hooks;
-    if (cover_cache_.enabled()) {
-      const uint64_t version = snap->version();
-      hooks.acquire = [this, version](
-                          const exec::CoverKey& cover_key,
-                          const std::function<exec::CoverPtr()>& build,
-                          bool* reused) {
-        return cover_cache_.GetOrBuild(version, cover_key, build, reused);
-      };
-    }
     const exec::Executor executor(&snap->index(), &snap->store(),
-                                  &snap->sites(), ctx_.get(), hooks);
+                                  &snap->sites(), ctx_.get(),
+                                  CoverHooksAt(snap->version()));
     bool reused = false;
     const exec::CoverPtr cover =
         executor.ObtainCover(state->plan, state->plan.threads, &reused);
@@ -332,6 +325,19 @@ void NetClusServer::StageBuild(const std::shared_ptr<AsyncState>& state) {
     NC_SLOG_ERROR("cover_build_failed").Kv("what", e.what());
     Complete(state, StatusCode::kInvalidSpec);
   }
+}
+
+exec::CoverHooks NetClusServer::CoverHooksAt(uint64_t version) {
+  exec::CoverHooks hooks;
+  if (cover_cache_.enabled()) {
+    hooks.acquire = [this, version](
+                        const exec::CoverKey& cover_key, double tau_m,
+                        const std::function<exec::CoverPtr()>& build,
+                        bool* reused) {
+      return cover_cache_.GetOrBuild(version, cover_key, tau_m, build, reused);
+    };
+  }
+  return hooks;
 }
 
 void NetClusServer::FinishOnCover(const std::shared_ptr<AsyncState>& state,
@@ -442,18 +448,9 @@ ServeResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
       out.result = std::move(*cached);
       out.cache_hit = true;
     } else {
-      exec::CoverHooks hooks;
-      if (cover_cache_.enabled()) {
-        const uint64_t version = snap->version();
-        hooks.acquire = [this, version](
-                            const exec::CoverKey& cover_key,
-                            const std::function<exec::CoverPtr()>& build,
-                            bool* reused) {
-          return cover_cache_.GetOrBuild(version, cover_key, build, reused);
-        };
-      }
       const exec::Executor executor(&snap->index(), &snap->store(),
-                                    &snap->sites(), ctx_.get(), hooks);
+                                    &snap->sites(), ctx_.get(),
+                                    CoverHooksAt(snap->version()));
       out.result = executor.Execute(plan);
       if (result_cacheable) cache_.Insert(key, out.result);
     }
@@ -516,6 +513,13 @@ UpdateTicket NetClusServer::MutateAddSite(graph::NodeId node) {
 
 void NetClusServer::Flush() { pipeline_->Flush(); }
 
+index::QueryResult NetClusServer::EvaluateStanding(
+    const Engine::QuerySpec& spec, SnapshotPtr* evaluated_on) {
+  ServeResult served = AnswerInline(spec, registry_.Acquire());
+  *evaluated_on = std::move(served.snapshot);
+  return std::move(served.result);
+}
+
 void NetClusServer::OnPublish(uint64_t old_version, uint64_t new_version,
                               const DeltaSummary& delta) {
   if (carryover_enabled_) {
@@ -529,9 +533,7 @@ void NetClusServer::OnPublish(uint64_t old_version, uint64_t new_version,
     cache_.CarryForward(old_version, new_version, delta);
   }
   standing_.OnPublish(new_version, delta,
-                      [this](const Engine::QuerySpec& spec) {
-                        return AnswerInline(spec, registry_.Acquire()).result;
-                      });
+                      std::bind_front(&NetClusServer::EvaluateStanding, this));
 }
 
 uint64_t NetClusServer::RegisterStanding(const Engine::QuerySpec& spec,
@@ -553,10 +555,8 @@ uint64_t NetClusServer::RegisterStanding(const Engine::QuerySpec& spec,
   return standing_.Register(std::move(canon), plan.instance,
                             staleness.max_version_lag, std::move(callback),
                             snap->version(),
-                            [this](const Engine::QuerySpec& s) {
-                              return AnswerInline(s, registry_.Acquire())
-                                  .result;
-                            });
+                            std::bind_front(&NetClusServer::EvaluateStanding,
+                                            this));
 }
 
 bool NetClusServer::UnregisterStanding(uint64_t id) {

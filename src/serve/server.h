@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "exec/executor.h"
 #include "exec/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -149,7 +150,7 @@ struct ServerOptions {
   uint32_t batch_threads = 0;
   QueryCache::Options cache;
   /// Cross-query T̂C sharing (docs/query_planning.md): queries with the
-  /// same (snapshot, instance, τ) reuse one cover build even when k, ψ,
+  /// same (snapshot, instance) reuse one cover build even when τ, k, ψ,
   /// or ES differ. NETCLUS_COVER_CACHE=0 disables it.
   CoverCache::Options cover_cache;
   UpdatePipeline::Options updates;
@@ -180,7 +181,7 @@ struct ServerOptions {
   /// resolves NETCLUS_SLOW_QUERY_MS; 0 disables the log.
   double slow_query_ms = -1.0;
   /// Delta-aware cache carryover across snapshot publishes: re-key
-  /// query/cover cache entries whose (instance, τ) partition a publish
+  /// query/cover cache entries whose instance partition a publish
   /// provably did not touch (see delta.h) instead of letting every
   /// publish reset the caches to cold. Results are bit-identical either
   /// way. Negative (default) resolves NETCLUS_CARRYOVER (default on);
@@ -331,6 +332,9 @@ class NetClusServer {
   /// Stage 2 (heavy lane): cover build (rendezvoused through the cover
   /// cache), then solve + assemble.
   void StageBuild(const std::shared_ptr<AsyncState>& state);
+  /// Executor hooks that acquire covers through the cover cache at
+  /// `version` (empty when the cache is disabled: build per call).
+  exec::CoverHooks CoverHooksAt(uint64_t version);
   /// Solve + assemble on a ready cover against `snap`, cache the result,
   /// complete kOk.
   void FinishOnCover(const std::shared_ptr<AsyncState>& state,
@@ -345,6 +349,11 @@ class NetClusServer {
   /// kInvalidSpec.
   ServeResult AnswerInline(const Engine::QuerySpec& spec,
                            const SnapshotPtr& snap);
+
+  /// Standing-query evaluator: AnswerInline on the current snapshot,
+  /// reporting that snapshot through `evaluated_on`.
+  index::QueryResult EvaluateStanding(const Engine::QuerySpec& spec,
+                                      SnapshotPtr* evaluated_on);
 
   /// Update-pipeline publish hook (writer thread): carry the caches
   /// forward under the delta, then delta-gate standing-query

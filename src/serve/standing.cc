@@ -92,7 +92,8 @@ void StandingQueryRegistry::EvaluateLocked(uint64_t id, Entry& entry,
   update.query_id = id;
   update.version = version;
   update.first = first;
-  update.result = evaluate(entry.spec);
+  update.result = evaluate(entry.spec, &update.snapshot);
+  if (update.snapshot != nullptr) update.version = update.snapshot->version();
   ++evaluations_;
   // The first push is the baseline: no previous result to diff against,
   // so added/removed stay empty (see StandingUpdate).

@@ -37,6 +37,7 @@
 #include "api/engine.h"
 #include "netclus/query.h"
 #include "serve/delta.h"
+#include "serve/snapshot.h"
 #include "tops/site_set.h"
 #include "util/thread_annotations.h"
 
@@ -47,6 +48,9 @@ struct StandingUpdate {
   uint64_t query_id = 0;
   /// Snapshot version the result was evaluated at.
   uint64_t version = 0;
+  /// The snapshot the result was evaluated on, so a subscriber (or a
+  /// test) can replay the query at exactly that version.
+  SnapshotPtr snapshot;
   /// True for the initial result delivered at registration.
   bool first = false;
   index::QueryResult result;
@@ -60,9 +64,11 @@ using StandingCallback = std::function<void(const StandingUpdate&)>;
 
 class StandingQueryRegistry {
  public:
-  /// Evaluates a canonical spec at the current snapshot; supplied per
-  /// call by the server (it owns the caches and execution context).
-  using Evaluator = std::function<index::QueryResult(const Engine::QuerySpec&)>;
+  /// Evaluates a canonical spec at the current snapshot and reports that
+  /// snapshot through `evaluated_on`; supplied per call by the server (it
+  /// owns the caches and execution context).
+  using Evaluator = std::function<index::QueryResult(
+      const Engine::QuerySpec& spec, SnapshotPtr* evaluated_on)>;
 
   struct Stats {
     uint64_t registered_total = 0;  ///< Register calls that stuck

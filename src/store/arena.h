@@ -408,6 +408,11 @@ class PairListView {
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
+  /// The encoded bytes traversals decode from: [packed_begin,
+  /// packed_end), both null for a raw view.
+  const uint8_t* packed_begin() const { return packed_; }
+  const uint8_t* packed_end() const { return packed_end_; }
+
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
@@ -674,6 +679,12 @@ class PostingArena {
 
   const ByteBlock& data_block() const { return data_; }
   const ByteBlock& offsets_block() const { return offsets_; }
+
+  /// The pool managing the mapping behind data_, or null (built in
+  /// memory, read into memory, or mapped without a page budget). A view
+  /// kept past the lookup that made it (TlList's frozen core) touches
+  /// this pool itself on every traversal.
+  BufferPool* pool() const { return pool_; }
 
   PostingListView U32List(size_t i) const {
     const auto [begin, end] = ListBytes(i);

@@ -125,7 +125,9 @@ void BufferPool::EvictToBudgetLocked() {
   if (budget_bytes_ == 0) return;
   const uint64_t budget_frames = std::max<uint64_t>(1, budget_bytes_ / frame_bytes_);
   int32_t f = lru_tail_;
-  while (resident_frames_ > budget_frames && f >= 0) {
+  // Pinned frames (always resident) sit outside the budget: it bounds the
+  // evictable frames, so residency stays within budget + pinned.
+  while (resident_frames_ - pinned_frames_ > budget_frames && f >= 0) {
     const int32_t prev = frames_[f].prev;
     if (frames_[f].pins == 0) {
       UnlinkLocked(static_cast<size_t>(f));

@@ -4,9 +4,10 @@
 // the OS will happily let every touched page stay resident — an index
 // must fit in RAM. The BufferPool bounds residency instead: it divides
 // the mapping into fixed-size frames, tracks which frames the read path
-// touches (PostingArena::ListBytes reports every list access), keeps them
-// on an LRU list, and when the resident total exceeds the budget it
-// evicts cold frames with madvise(MADV_DONTNEED). The mapping is private
+// touches (PostingArena::ListBytes reports every list access, a frozen
+// TlList every traversal of its core), keeps them on an LRU list, and
+// when the unpinned resident total exceeds the budget it evicts cold
+// frames with madvise(MADV_DONTNEED). The mapping is private
 // and never written, so eviction is invisible to correctness: the virtual
 // addresses stay valid and a later access simply re-faults the page from
 // the file. Query results are bit-identical with the pool on or off —
@@ -14,9 +15,10 @@
 //
 // Pinning: frames covering hot metadata (the Elias-Fano offset tables)
 // are pinned at index load so list-extent lookups never re-fault; pinned
-// frames are skipped by eviction. When everything under budget is pinned
-// the pool runs over budget rather than evicting pinned frames (soft
-// cap), which keeps Pin free of deadlock-by-budget.
+// frames are skipped by eviction and sit outside the budget: it bounds
+// the evictable frames, a soft cap of budget + pinned. So Pin can never
+// deadlock against the budget, and a budget smaller than the pinned
+// metadata still caches postings instead of re-faulting every list.
 //
 // Budget: NETCLUS_PAGE_BUDGET accepts plain bytes or human suffixes
 // ("16MiB", "1g"); 0/unset means unlimited (no pool is created).
@@ -62,7 +64,8 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Marks the frames covering [p, p + len) most-recently-used, then
-  /// evicts LRU frames until the tracked-resident total fits the budget.
+  /// evicts LRU frames until the unpinned tracked-resident total fits the
+  /// budget.
   /// Ranges outside the mapping are ignored.
   void Touch(const uint8_t* p, size_t len);
 

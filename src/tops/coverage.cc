@@ -275,6 +275,40 @@ CoverageIndex CoverageIndex::FromCovers(
   return index;
 }
 
+CoverageIndex CoverageIndex::Cut(double tau_m) const {
+  NC_CHECK(!compressed_) << "Cut needs an uncompressed coverage index";
+  NC_CHECK(!oom_) << "Cut of an OOM coverage index";
+  NC_CHECK(cut_of_ == nullptr) << "Cut of a cut: cut the base index";
+  NC_CHECK(!(tau_m > config_.tau_m))
+      << "Cut at tau " << tau_m << " above the build tau " << config_.tau_m;
+  CoverageIndex cut;
+  cut.config_ = config_;
+  cut.config_.tau_m = tau_m;
+  cut.num_live_ = num_live_;
+  cut.cut_of_ = this;
+  // The predicate the cover builders keep an entry by (est > τ rejects),
+  // so the prefix is exactly what a build at tau_m keeps.
+  const auto prefix = [tau_m](const std::vector<CoverEntry>& list) {
+    if (list.empty() || !(list.back().dr_m > tau_m)) {
+      return static_cast<uint32_t>(list.size());
+    }
+    return static_cast<uint32_t>(
+        std::partition_point(list.begin(), list.end(),
+                             [tau_m](const CoverEntry& e) {
+                               return !(e.dr_m > tau_m);
+                             }) -
+        list.begin());
+  };
+  cut.tc_len_.reserve(tc_.size());
+  for (const auto& list : tc_) {
+    cut.tc_len_.push_back(prefix(list));
+    cut.stats_.cover_entries += cut.tc_len_.back();
+  }
+  cut.sc_len_.reserve(sc_.size());
+  for (const auto& list : sc_) cut.sc_len_.push_back(prefix(list));
+  return cut;
+}
+
 double CoverageIndex::SiteWeight(SiteId s, const PreferenceFunction& psi) const {
   double w = 0.0;
   TC(s).ForEach(
@@ -394,6 +428,9 @@ double CoverageIndex::EvaluateSelection(const traj::TrajectoryStore& store,
 }
 
 uint64_t CoverageIndex::MemoryBytes() const {
+  if (cut_of_ != nullptr) {
+    return (tc_len_.capacity() + sc_len_.capacity()) * sizeof(uint32_t);
+  }
   if (compressed_) return tc_arena_.bytes() + sc_arena_.bytes();
   return util::NestedVectorBytes(tc_) + util::NestedVectorBytes(sc_);
 }

@@ -100,14 +100,28 @@ class CoverageIndex {
                                   size_t num_trajectories, size_t num_live,
                                   double tau_m);
 
+  /// The covering sets at a radius `tau_m` no larger than this index's,
+  /// as a zero-copy view: TC(s) and SC(t) are the prefixes of this
+  /// index's lists holding the entries with d_r ≤ tau_m (the lists are
+  /// sorted by (d_r, id), so the kept entries come first, in the same
+  /// order), and tau_m() reports `tau_m`, so ψ scores at the cut radius.
+  /// When d_r is a minimum estimate (the clustered covers of Eq. 9), the
+  /// cut is byte-equal to building at `tau_m` directly. Requires an
+  /// uncompressed index, which must outlive the cut.
+  CoverageIndex Cut(double tau_m) const;
+
   /// True when the memory budget aborted the build; all queries on an OOM
   /// index are invalid.
   bool oom() const { return oom_; }
 
   double tau_m() const { return config_.tau_m; }
   const CoverageConfig& config() const { return config_; }
-  size_t num_sites() const { return compressed_ ? tc_arena_.num_lists() : tc_.size(); }
+  size_t num_sites() const {
+    if (cut_of_ != nullptr) return tc_len_.size();
+    return compressed_ ? tc_arena_.num_lists() : tc_.size();
+  }
   size_t num_trajectories() const {
+    if (cut_of_ != nullptr) return sc_len_.size();
     return compressed_ ? sc_arena_.num_lists() : sc_.size();
   }
 
@@ -118,12 +132,18 @@ class CoverageIndex {
   /// TC(s): covered trajectories sorted by ascending d_r (paper keeps the
   /// sets distance-sorted).
   CoverList TC(SiteId s) const {
+    if (cut_of_ != nullptr) {
+      return CoverList::Raw(cut_of_->tc_[s].data(), tc_len_[s]);
+    }
     if (compressed_) return tc_arena_.PairList<CoverEntry>(s);
     return CoverList::Raw(tc_[s].data(), tc_[s].size());
   }
 
   /// SC(T): covering sites sorted by ascending d_r.
   CoverList SC(traj::TrajId t) const {
+    if (cut_of_ != nullptr) {
+      return CoverList::Raw(cut_of_->sc_[t].data(), sc_len_[t]);
+    }
     if (compressed_) return sc_arena_.PairList<CoverEntry>(t);
     return CoverList::Raw(sc_[t].data(), sc_[t].size());
   }
@@ -167,6 +187,11 @@ class CoverageIndex {
   std::vector<std::vector<CoverEntry>> sc_;
   store::PostingArena tc_arena_;  ///< packed TC (when compressed_)
   store::PostingArena sc_arena_;  ///< packed SC (when compressed_)
+  /// Cut form (see Cut): the index whose list prefixes this one views,
+  /// and the prefix length of every TC / SC list.
+  const CoverageIndex* cut_of_ = nullptr;
+  std::vector<uint32_t> tc_len_;
+  std::vector<uint32_t> sc_len_;
   bool compressed_ = false;
   CoverageStats stats_;
   size_t num_live_ = 0;

@@ -2,10 +2,13 @@
 // (Fig. 2) from raw GPS traces through map-matching, offline index
 // construction, online queries, and dynamic updates.
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "api/engine.h"
 #include "gtest/gtest.h"
+#include "store/buffer_pool.h"
 #include "store/simd/bulk_varint.h"
 #include "test_helpers.h"
 #include "traj/trace_synthesizer.h"
@@ -374,6 +377,47 @@ TEST(Engine, SaveLoadV3BitIdenticalAcrossSimdKernelsAndPageBudget) {
     }
   }
   store::simd::ResetKernelFromEnv();
+  unsetenv("NETCLUS_PAGE_BUDGET");
+  std::remove(path.c_str());
+}
+
+// A page budget must bound residency while queries run, not only at load:
+// every traversal of a frozen TL list touches the frames it decodes from,
+// so a query on an mmap'ed, pooled index raises the pool's touch count —
+// and answers stay bit-identical at any budget, down to a single frame.
+TEST(Engine, PooledMmapQueriesTouchTheBufferPool) {
+  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
+  const std::string path = "/tmp/netclus_engine_pool_touch.idx";
+  Engine built = MakeEngineWith(Engine::Options());
+  built.BuildIndex();
+  const auto reference = built.TopK(5, 700.0, psi);
+  std::string error;
+  ASSERT_TRUE(built.SaveIndexToFile(path, &error)) << error;
+
+  for (const char* budget : {"64KiB", "16MiB"}) {
+    SCOPED_TRACE(budget);
+    setenv("NETCLUS_PAGE_BUDGET", budget, 1);
+    Engine::Options options;
+    options.index_load_mode = index::IndexLoadMode::kMmap;
+    Engine fresh = MakeEngineWith(options);
+    ASSERT_TRUE(fresh.LoadIndexFromFile(path, &error)) << error;
+    store::BufferPool* pool = store::BufferPool::Find(
+        static_cast<const uint8_t*>(fresh.index().instance(0).cc_arena_id()));
+    ASSERT_NE(pool, nullptr);
+
+    const store::BufferPool::Stats before = pool->GetStats();
+    const auto answer = fresh.TopK(5, 700.0, psi);
+    const store::BufferPool::Stats after = pool->GetStats();
+    EXPECT_GT(after.touches, before.touches);
+    // Pinned frames (the parsed offset tables) are a soft overshoot.
+    EXPECT_LE(after.resident_bytes,
+              std::max(after.budget_bytes, after.frame_bytes) +
+                  after.pinned_frames * after.frame_bytes);
+    EXPECT_EQ(answer.selection.sites, reference.selection.sites);
+    EXPECT_EQ(answer.selection.utility, reference.selection.utility);
+    EXPECT_EQ(answer.selection.marginal_gains,
+              reference.selection.marginal_gains);
+  }
   unsetenv("NETCLUS_PAGE_BUDGET");
   std::remove(path.c_str());
 }

@@ -16,6 +16,11 @@
 // tsan job runs this file under -fsanitize=thread).
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -271,36 +276,190 @@ TEST(Exec, TopKBatchSharesCoversAndMatchesSequentialTopK) {
     const Engine engine = MakeEngine(graph::spf::BackendKind::kDefault, threads);
     const std::vector<Engine::QuerySpec> specs = DuplicateTauBatch(32);
 
+    // The groups the executor must form: one per instance, built at the
+    // group's largest τ.
+    std::map<size_t, std::pair<double, size_t>> groups;  // p -> (τ, size)
+    std::vector<size_t> first_of_instance(engine.index().num_instances(),
+                                          specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const size_t p = engine.index().InstanceFor(specs[i].tau_m);
+      auto& [tau, size] = groups[p];
+      tau = std::max(tau, specs[i].tau_m);
+      ++size;
+      first_of_instance[p] = std::min(first_of_instance[p], i);
+    }
+    ASSERT_LT(groups.size(), 4u);  // some distinct τ share an instance
+
     const auto before = engine.ExecStats();
     const std::vector<index::QueryResult> batch = engine.TopKBatch(specs);
     const auto after = engine.ExecStats();
     ASSERT_EQ(batch.size(), specs.size());
 
-    // Exactly one cover build per distinct τ (all four map to distinct
-    // (instance, τ) keys here), every other query shared.
-    EXPECT_EQ(after.covers_built - before.covers_built, 4u);
-    EXPECT_EQ(after.covers_shared - before.covers_shared, specs.size() - 4);
+    // Exactly one cover build per instance touched, every other query
+    // shared — distinct τ on one instance no longer cost a build each.
+    EXPECT_EQ(after.covers_built - before.covers_built, groups.size());
+    EXPECT_EQ(after.covers_shared - before.covers_shared,
+              specs.size() - groups.size());
 
     for (size_t i = 0; i < specs.size(); ++i) {
       const index::QueryResult single = engine.TopK(
           specs[i].k, specs[i].tau_m, specs[i].psi, specs[i].use_fm,
           specs[i].existing_services);
       ExpectBitIdentical(single, batch[i], "spec " + std::to_string(i));
-      // Attribution: each of the 8 sharers of a τ reports 1/8 of the
-      // transient bytes a private build would have charged, and flags the
-      // sharing. The cover is deterministic, so the private build's bytes
-      // are exactly the single-query measurement.
+      // Attribution: each sharer of an instance reports its share of the
+      // bytes of the cover built at the group's largest τ, and flags the
+      // sharing. Builds are deterministic, so a rebuild measures them.
+      const size_t p = engine.index().InstanceFor(specs[i].tau_m);
+      const auto& [group_tau, group_size] = groups.at(p);
+      const uint64_t group_bytes =
+          exec::BuildCover(engine.index(), engine.store(), group_tau, p, 1)
+              .bytes;
       EXPECT_TRUE(batch[i].cover_shared);
       EXPECT_FALSE(single.cover_shared);
-      EXPECT_EQ(batch[i].transient_bytes, single.transient_bytes / 8);
+      EXPECT_EQ(batch[i].transient_bytes, group_bytes / group_size);
       // Self-consistent timing invariants only (never compare wall clocks
       // across separate runs — load skew makes that flaky).
       EXPECT_GT(batch[i].cover_build_seconds, 0.0);
       EXPECT_LE(batch[i].cover_build_seconds, batch[i].total_seconds);
-      // Every sharer of a τ group reports the same amortized build cost
-      // (spec i % 4 is the group's first member).
+      // Every sharer of an instance reports the same amortized build cost.
       EXPECT_EQ(batch[i].cover_build_seconds,
-                batch[i % 4].cover_build_seconds);
+                batch[first_of_instance[p]].cover_build_seconds);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// τ-nested covers: a prefix cut of a cover built at a larger τ is
+// byte-equal to building at the cut's τ.
+// ---------------------------------------------------------------------------
+
+void ExpectSameList(const tops::CoverList& expected,
+                    const tops::CoverList& actual, const std::string& what) {
+  const std::vector<tops::CoverEntry> a = expected.Materialize();
+  const std::vector<tops::CoverEntry> b = actual.Materialize();
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << what << " entry " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(a[i].dr_m),
+              std::bit_cast<uint32_t>(b[i].dr_m))
+        << what << " entry " << i;
+  }
+}
+
+// Byte-equality of every list of `cut` against `direct`.
+void ExpectSameCover(const exec::BuiltCover& direct,
+                     const std::vector<SiteId>& cut_reps,
+                     const tops::CoverageIndex& cut) {
+  EXPECT_EQ(direct.rep_sites, cut_reps);
+  ASSERT_EQ(direct.approx.num_sites(), cut.num_sites());
+  ASSERT_EQ(direct.approx.num_trajectories(), cut.num_trajectories());
+  EXPECT_EQ(direct.approx.num_live_trajectories(),
+            cut.num_live_trajectories());
+  EXPECT_EQ(std::bit_cast<uint64_t>(direct.approx.tau_m()),
+            std::bit_cast<uint64_t>(cut.tau_m()));
+  EXPECT_EQ(direct.approx.stats().cover_entries, cut.stats().cover_entries);
+  for (SiteId s = 0; s < cut.num_sites(); ++s) {
+    ExpectSameList(direct.approx.TC(s), cut.TC(s), "TC " + std::to_string(s));
+  }
+  for (traj::TrajId t = 0; t < cut.num_trajectories(); ++t) {
+    ExpectSameList(direct.approx.SC(t), cut.SC(t), "SC " + std::to_string(t));
+  }
+}
+
+// The τ grid of one instance: both edges of its range (the lower edge and
+// the largest double below the upper one), interior points, τ below
+// τ_min (down to -inf) on instance 0, and τ past the last edge (up to
+// +inf) on the last instance.
+std::vector<double> InstanceTauGrid(const index::MultiIndex& index, size_t p) {
+  const double growth = 1.0 + index.gamma();
+  const double lo = index.tau_min_m() * std::pow(growth, static_cast<double>(p));
+  const double hi = lo * growth;
+  std::vector<double> taus = {lo, std::nextafter(hi, 0.0), lo + 0.25 * (hi - lo),
+                              lo + 0.5 * (hi - lo), lo + 0.9 * (hi - lo)};
+  if (p == 0) {
+    taus.push_back(0.5 * index.tau_min_m());
+    taus.push_back(0.0);
+    taus.push_back(-std::numeric_limits<double>::infinity());
+  }
+  if (p + 1 == index.num_instances()) {
+    taus.push_back(hi);              // the last nominal edge itself
+    taus.push_back(hi * 1.3);        // past it: the growth path
+    taus.push_back(hi * growth * 2);
+    taus.push_back(std::numeric_limits<double>::infinity());
+  }
+  return taus;
+}
+
+TEST(Exec, PrefixCutIsByteEqualToBuildAtEveryTau) {
+  for (const graph::spf::BackendKind backend :
+       {graph::spf::BackendKind::kDijkstra,
+        graph::spf::BackendKind::kContractionHierarchies}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    const Engine engine = MakeEngine(backend);
+    const index::MultiIndex& index = engine.index();
+    ASSERT_GE(index.num_instances(), 3u);
+    for (size_t p = 0; p < index.num_instances(); ++p) {
+      for (const double tau : InstanceTauGrid(index, p)) {
+        SCOPED_TRACE("instance " + std::to_string(p) + " tau " +
+                     std::to_string(tau));
+        // The shared build τ: the instance's upper edge, or the next
+        // boundary past it, never below the τ it must answer.
+        const double shared = exec::SharedCoverTau(index, p, tau);
+        EXPECT_GE(shared, tau);
+        const double top = index.tau_min_m() *
+                           std::pow(1.0 + index.gamma(),
+                                    static_cast<double>(p + 1));
+        EXPECT_GE(shared, top);
+        if (tau < top) EXPECT_EQ(shared, top);
+        const exec::BuiltCover base =
+            exec::BuildCover(index, engine.store(), shared, p, 1);
+        ASSERT_TRUE(base.Answers(tau));
+        const exec::BuiltCover direct =
+            exec::BuildCover(index, engine.store(), tau, p, 1);
+        ExpectSameCover(direct, base.rep_sites, base.Cut(tau));
+      }
+    }
+  }
+}
+
+TEST(Exec, AnswersOnACutAreBitIdenticalAcrossPsi) {
+  const Engine engine = MakeEngine();
+  const index::MultiIndex& index = engine.index();
+  exec::ExecContext ctx;
+  const exec::Planner planner(&ctx);
+  const exec::Executor executor(&index, &engine.store(), &engine.sites(),
+                                &ctx);
+  const std::vector<double> costs =
+      tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.4, 0.1, 63);
+  for (size_t p = 0; p < index.num_instances(); ++p) {
+    const std::vector<double> taus = InstanceTauGrid(index, p);
+    const double top = *std::max_element(taus.begin(), taus.end());
+    const auto base = std::make_shared<const exec::BuiltCover>(
+        exec::BuildCover(index, engine.store(),
+                         exec::SharedCoverTau(index, p, top), p, 1));
+    for (const double tau : taus) {
+      for (const PreferenceFunction& psi :
+           {PreferenceFunction::Binary(), PreferenceFunction::Linear(),
+            PreferenceFunction::ConvexProbability(2.0)}) {
+        SCOPED_TRACE("instance " + std::to_string(p) + " tau " +
+                     std::to_string(tau) + " psi " + psi.name());
+        exec::PlanRequest request;
+        request.k = 4;
+        request.tau_m = tau;
+        request.psi = psi;
+        request.threads = 1;
+        const exec::QueryPlan plan = planner.Plan(request, index, 1);
+        // The plan resolves by τ; the cover here is the one for p.
+        if (plan.instance != p) continue;
+        ExpectBitIdentical(executor.Execute(plan),
+                           executor.ExecuteOnCover(plan, base, true), "tops");
+        request.variant = exec::QueryVariant::kTopsCost;
+        request.site_costs = costs;
+        request.budget = 3.0;
+        const exec::QueryPlan cost = planner.Plan(request, index, 1);
+        ExpectBitIdentical(executor.Execute(cost),
+                           executor.ExecuteOnCover(cost, base, true), "cost");
+      }
     }
   }
 }
@@ -470,7 +629,7 @@ TEST(CoverCache, BuildsOncePerKeyAcrossConcurrentCallers) {
   ASSERT_TRUE(cache.enabled());
 
   const Engine engine = MakeEngine();
-  const exec::CoverKey key{0, 123};
+  const exec::CoverKey key{0};
   std::atomic<int> builds{0};
   const auto build = [&]() -> exec::CoverPtr {
     builds.fetch_add(1);
@@ -485,7 +644,7 @@ TEST(CoverCache, BuildsOncePerKeyAcrossConcurrentCallers) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       bool r = false;
-      got[t] = cache.GetOrBuild(7, key, build, &r);
+      got[t] = cache.GetOrBuild(7, key, 800.0, build, &r);
       reused[t] = r ? 1 : 0;
     });
   }
@@ -520,17 +679,17 @@ TEST(CoverCache, VersionIsPartOfTheKeyAndLruEvicts) {
         engine.index(), engine.store(), 700.0, 0, 1));
   };
   bool reused = false;
-  const exec::CoverKey key{0, 42};
-  (void)cache.GetOrBuild(1, key, build, &reused);
-  (void)cache.GetOrBuild(2, key, build, &reused);  // new version: rebuild
+  const exec::CoverKey key{0};
+  (void)cache.GetOrBuild(1, key, 700.0, build, &reused);
+  (void)cache.GetOrBuild(2, key, 700.0, build, &reused);  // new version: rebuild
   EXPECT_EQ(builds, 2);
-  (void)cache.GetOrBuild(2, key, build, &reused);
+  (void)cache.GetOrBuild(2, key, 700.0, build, &reused);
   EXPECT_TRUE(reused);
   EXPECT_EQ(builds, 2);
-  (void)cache.GetOrBuild(3, key, build, &reused);  // evicts version 1
+  (void)cache.GetOrBuild(3, key, 700.0, build, &reused);  // evicts version 1
   EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_GE(cache.stats().evictions, 1u);
-  (void)cache.GetOrBuild(1, key, build, &reused);  // must rebuild
+  (void)cache.GetOrBuild(1, key, 700.0, build, &reused);  // must rebuild
   EXPECT_FALSE(reused);
   EXPECT_EQ(builds, 4);
 }
@@ -547,8 +706,8 @@ TEST(CoverCache, DisabledCacheDegeneratesToPlainBuilds) {
     ++builds;
     return std::make_shared<exec::BuiltCover>();
   };
-  (void)cache.GetOrBuild(1, exec::CoverKey{0, 1}, build, &reused);
-  (void)cache.GetOrBuild(1, exec::CoverKey{0, 1}, build, &reused);
+  (void)cache.GetOrBuild(1, exec::CoverKey{0}, 0.0, build, &reused);
+  (void)cache.GetOrBuild(1, exec::CoverKey{0}, 0.0, build, &reused);
   EXPECT_EQ(builds, 2);
   EXPECT_FALSE(reused);
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
@@ -581,9 +740,14 @@ TEST(Serving, CoverCacheOnOffIsBitIdentical) {
     const serve::ServeResult b = off->Submit(spec);
     ExpectBitIdentical(b.result, a.result, "cover cache on/off");
   }
-  // The duplicate-τ stream reused covers on the enabled server only.
+  // The duplicate-τ stream reused covers on the enabled server only: one
+  // build per instance touched, whatever the τ.
+  std::set<size_t> instances;
+  for (const Engine::QuerySpec& spec : specs) {
+    instances.insert(engine.index().InstanceFor(spec.tau_m));
+  }
   EXPECT_GT(on->stats().cover_cache.hits, 0u);
-  EXPECT_EQ(on->stats().cover_cache.misses, 4u);
+  EXPECT_EQ(on->stats().cover_cache.misses, instances.size());
   EXPECT_EQ(off->stats().cover_cache.hits + off->stats().cover_cache.misses,
             0u);
 }

@@ -9,12 +9,13 @@
 // be TSan-clean (the CI tsan job runs it under -fsanitize=thread).
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -79,6 +80,18 @@ void ExpectBitIdentical(const index::QueryResult& expected,
   EXPECT_EQ(expected.selection.utility, actual.selection.utility);
   EXPECT_EQ(expected.instance_used, actual.instance_used);
   EXPECT_EQ(expected.clusters_considered, actual.clusters_considered);
+}
+
+// A standing push against a serial replay on the snapshot it was
+// evaluated on (which the push carries).
+void ExpectMatchesReplay(const serve::StandingUpdate& update,
+                         const Engine::QuerySpec& spec) {
+  ASSERT_NE(update.snapshot, nullptr);
+  EXPECT_EQ(update.snapshot->version(), update.version);
+  const Engine::QuerySpec canon = serve::CanonicalizeSpec(spec);
+  ExpectBitIdentical(
+      update.snapshot->query().Tops(canon.psi, canon.ToConfig(/*threads=*/1)),
+      update.result);
 }
 
 TEST(SnapshotRegistry, PublishAndAcquireAreVersioned) {
@@ -735,10 +748,9 @@ exec::CoverPtr FakeCover(uint64_t bytes) {
   return cover;
 }
 
-exec::CoverKey TauKey(double tau_m) {
+exec::CoverKey InstanceKey(uint64_t instance) {
   exec::CoverKey key;
-  key.instance = 0;
-  key.tau_bits = std::bit_cast<uint64_t>(tau_m);
+  key.instance = instance;
   return key;
 }
 
@@ -768,7 +780,7 @@ TEST(CoverCache, EvictionNeverBreaksBuildOnceRendezvous) {
         const int key_index = (t + i) % kKeys;
         bool reused = false;
         cache.GetOrBuild(
-            1, TauKey(100.0 * (1 + key_index)),
+            1, InstanceKey(key_index), /*tau_m=*/0.0,
             [&building, &concurrent_build, key_index] {
               if (building[key_index].fetch_add(1) != 0) {
                 concurrent_build.store(true);
@@ -805,7 +817,7 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
   options.shards = 1;
   options.respect_env = false;
   serve::CoverCache cache(options);
-  const exec::CoverKey key = TauKey(500.0);
+  const exec::CoverKey key = InstanceKey(0);
 
   std::promise<void> gate_a, gate_b;
   std::shared_future<void> wait_a = gate_a.get_future().share();
@@ -819,7 +831,7 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
     bool reused = false;
     try {
       cache.GetOrBuild(
-          1, key,
+          1, key, /*tau_m=*/0.0,
           [&]() -> exec::CoverPtr {
             a_started.store(true);
             wait_a.wait();
@@ -835,7 +847,7 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
   cache.Clear();  // A's entry is gone; the key slot is free again
   std::thread b([&] {
     b_cover = cache.GetOrBuild(
-        1, key,
+        1, key, /*tau_m=*/0.0,
         [&] {
           b_started.store(true);
           wait_b.wait();
@@ -855,7 +867,7 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
   EXPECT_FALSE(b_reused);
   EXPECT_EQ(b_cover->bytes, 77u);
   // B's entry survived A's cleanup: resident, counted, servable.
-  EXPECT_NE(cache.TryGet(1, key), nullptr);
+  EXPECT_NE(cache.TryGet(1, key, /*tau_m=*/0.0), nullptr);
   const serve::CoverCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.resident_bytes, 77u);
@@ -1015,6 +1027,93 @@ TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
   EXPECT_EQ(server->stats().cache.carried, carried_before);
 }
 
+// τ-nested covers in the serving layer: a batch of distinct τ values
+// costs one cover build per instance touched (the cover cache keys on
+// (version, instance) and cuts every τ from the instance's cover), and a
+// τ past the last instance's nominal edge grows that instance's entry in
+// place. Every answer matches a serial replay at its snapshot.
+TEST(NetClusServer, DistinctTauBatchBuildsOneCoverPerInstance) {
+  Engine engine = MakeEngine();
+  serve::ServerOptions options;
+  options.cover_cache.respect_env = false;  // force ON regardless of CI matrix
+  auto server = engine.Serve(options);
+  const index::MultiIndex& index = server->snapshot()->index();
+  const double last_edge =
+      index.tau_min_m() * std::pow(1.0 + index.gamma(),
+                                   static_cast<double>(index.num_instances()));
+
+  std::vector<Engine::QuerySpec> specs;
+  std::set<size_t> touched;
+  for (int i = 0; i < 24; ++i) {
+    const double tau = 250.0 + 97.0 * i;  // distinct, below the last edge
+    ASSERT_LT(tau, last_edge);
+    specs.push_back(Spec(2 + i % 4, tau));
+    touched.insert(index.InstanceFor(tau));
+  }
+  ASSERT_GE(touched.size(), 3u);
+  const std::vector<serve::ServeResult> served = server->SubmitBatch(specs);
+  ASSERT_EQ(served.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_EQ(served[i].status, serve::StatusCode::kOk);
+    ExpectBitIdentical(Replay(served[i], specs[i]), served[i].result);
+  }
+  serve::CoverCache::Stats stats = server->stats().cover_cache;
+  EXPECT_EQ(stats.misses, touched.size());
+  EXPECT_EQ(stats.hits, specs.size() - touched.size());
+  EXPECT_EQ(stats.entries, touched.size());
+
+  // Past the last edge: one build at the next τ boundary replaces the
+  // last instance's entry; a τ between the edges is then a plain hit.
+  const Engine::QuerySpec far = Spec(3, last_edge * 1.2);
+  const serve::ServeResult grown = server->Submit(far);
+  ExpectBitIdentical(Replay(grown, far), grown.result);
+  stats = server->stats().cover_cache;
+  EXPECT_EQ(stats.misses, touched.size() + 1);
+  EXPECT_EQ(stats.entries, touched.size());
+  const Engine::QuerySpec between = Spec(4, last_edge * 1.1);
+  const serve::ServeResult cut = server->Submit(between);
+  ExpectBitIdentical(Replay(cut, between), cut.result);
+  EXPECT_EQ(server->stats().cover_cache.misses, touched.size() + 1);
+}
+
+// Carryover under per-instance covers: a clean publish re-keys the
+// instance's cover, so a *different* τ of that instance at the new
+// version is a cover hit (the result cache cannot serve it); a dirty
+// publish carries nothing and the next τ builds again.
+TEST(NetClusServer, CarryoverRekeysCleanInstanceCovers) {
+  Engine engine = MakeEngine();
+  serve::ServerOptions options;
+  options.carryover = 1;
+  options.cover_cache.respect_env = false;
+  auto server = engine.Serve(options);
+  const index::MultiIndex& index = server->snapshot()->index();
+  ASSERT_EQ(index.InstanceFor(700.0), index.InstanceFor(800.0));
+  ASSERT_EQ(index.InstanceFor(700.0), index.InstanceFor(900.0));
+
+  (void)server->Submit(Spec(3, 700.0));
+  ASSERT_EQ(server->stats().cover_cache.misses, 1u);
+
+  server->MutateRemoveTrajectory(999999);  // clean publish: version 2
+  server->Flush();
+  const Engine::QuerySpec second = Spec(3, 800.0);
+  const serve::ServeResult v2 = server->Submit(second);
+  EXPECT_EQ(v2.snapshot_version, 2u);
+  EXPECT_FALSE(v2.cache_hit);
+  ExpectBitIdentical(Replay(v2, second), v2.result);
+  serve::ServerStats stats = server->stats();
+  EXPECT_GE(stats.cover_cache.carried, 1u);
+  EXPECT_EQ(stats.cover_cache.misses, 1u);  // cut from the carried cover
+
+  server->MutateAddTrajectory({0, 1, 2, 12});  // dirties every instance
+  server->Flush();
+  const Engine::QuerySpec third = Spec(3, 900.0);
+  const serve::ServeResult v3 = server->Submit(third);
+  EXPECT_EQ(v3.snapshot_version, 3u);
+  ExpectBitIdentical(Replay(v3, third), v3.result);
+  stats = server->stats();
+  EXPECT_EQ(stats.cover_cache.misses, 2u);
+}
+
 // Acceptance: twin servers over bit-identical engines, carryover on vs
 // off, fed the same mirrored update stream (one op per publish, so
 // version numbers mean the same state on both) while 1 then 4 reader
@@ -1154,14 +1253,14 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   ASSERT_NE(id, 0u);
 
   // The initial result arrives synchronously, diff-empty, at version 1,
-  // and matches a direct submit bit-identically.
+  // and matches a serial replay on the snapshot it was evaluated on.
   std::vector<serve::StandingUpdate> seen = snapshot_log();
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_TRUE(seen[0].first);
   EXPECT_EQ(seen[0].version, 1u);
   EXPECT_TRUE(seen[0].added.empty());
   EXPECT_TRUE(seen[0].removed.empty());
-  ExpectBitIdentical(server->Submit(spec).result, seen[0].result);
+  ExpectMatchesReplay(seen[0], spec);
 
   // Clean publish: skipped without evaluating — no push.
   server->MutateRemoveTrajectory(999999);
@@ -1171,18 +1270,20 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   EXPECT_EQ(server->stats().standing.evaluations, 1u);
 
   // Dirty publish under a zero staleness budget: re-evaluated; a push
-  // arrives iff the top-k membership changed, and any push matches a
-  // direct submit at the (unchanged-since) current version.
+  // arrives iff the top-k membership changed, and every push matches a
+  // serial replay at the version it was evaluated at — not at whatever
+  // is current now (a later publish may have moved the gains without
+  // moving the membership, which pushes nothing).
   for (int i = 0; i < 40; ++i) {
     server->MutateAddTrajectory({0, 1, 2, 12, 22});
   }
   server->Flush();
   EXPECT_GE(server->stats().standing.evaluations, 2u);
   seen = snapshot_log();
-  if (seen.size() > 1) {
-    EXPECT_FALSE(seen.back().first);
-    EXPECT_FALSE(seen.back().added.empty() && seen.back().removed.empty());
-    ExpectBitIdentical(server->Submit(spec).result, seen.back().result);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_FALSE(seen[i].first);
+    EXPECT_FALSE(seen[i].added.empty() && seen[i].removed.empty());
+    ExpectMatchesReplay(seen[i], spec);
   }
 
   // Unregister stops deliveries; the id is single-use.
@@ -1202,6 +1303,47 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   EXPECT_EQ(server->RegisterStanding(bad, serve::StalenessPolicy::Fresh(),
                                      [](const serve::StandingUpdate&) {}),
             0u);
+}
+
+// The same oracle with one op per publish: 40 dirty publishes, each
+// re-evaluated under a zero budget. Most move the gains but not the top-k
+// membership, so they evaluate without pushing — the path the versioned
+// oracle exists for is taken on every run, not by scheduling luck.
+TEST(StandingQueries, EveryPushMatchesReplayAtItsVersionOnePublishPerOp) {
+  Engine engine = MakeEngine();
+  serve::ServerOptions options;
+  options.carryover = 1;
+  options.updates.max_batch = 1;
+  auto server = engine.Serve(options);
+  const Engine::QuerySpec spec = Spec(3, 700.0);
+
+  std::mutex mu;
+  std::vector<serve::StandingUpdate> log;
+  const uint64_t id = server->RegisterStanding(
+      spec, serve::StalenessPolicy::Fresh(),
+      [&](const serve::StandingUpdate& update) {
+        const std::lock_guard<std::mutex> lock(mu);
+        log.push_back(update);
+      });
+  ASSERT_NE(id, 0u);
+  for (int i = 0; i < 40; ++i) {
+    server->MutateAddTrajectory({0, 1, 2, 12, 22});
+  }
+  server->Flush();
+  ASSERT_EQ(server->snapshot()->version(), 41u);  // one publish per op
+
+  const serve::StandingQueryRegistry::Stats stats = server->stats().standing;
+  EXPECT_EQ(stats.evaluations, 41u);  // the first push + every publish
+  EXPECT_LT(stats.pushes, stats.evaluations);  // gains moved, members kept
+  server->UnregisterStanding(id);  // before taking `mu`: callbacks take it
+  const std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(log.size(), stats.pushes);
+  for (const serve::StandingUpdate& update : log) {
+    ExpectMatchesReplay(update, spec);
+  }
+  for (size_t i = 1; i < log.size(); ++i) {
+    EXPECT_GT(log[i].version, log[i - 1].version);
+  }
 }
 
 TEST(StandingQueries, StalenessBudgetCoalescesDirtyPublishes) {

@@ -609,6 +609,9 @@ TEST(BufferPool, BoundsResidencyAndSurvivesEviction) {
   }
   stats = pool->GetStats();
   EXPECT_LE(stats.resident_bytes, (budget_frames + 1) * frame);
+  // The pin rides on top of the budget instead of eating into it: the
+  // budget's worth of unpinned frames stays cached.
+  EXPECT_EQ(stats.resident_bytes, (budget_frames + 1) * frame);
 
   pool->Unpin(file->data(), 1);
   EXPECT_EQ(pool->GetStats().pinned_frames, 0u);
